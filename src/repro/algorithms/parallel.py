@@ -7,7 +7,7 @@ computations: the distinct reduced models produced by
 ``until_reduction`` for different formulas, or the distinct
 ``r``-driven chain expansions of the pseudo-Erlang engine.  Those are
 embarrassingly parallel, and the heavy inner loops -- scipy's sparse
-matrix x dense block products and :func:`scipy.signal.lfilter` --
+matrix x dense block products and LAPACK's banded triangular solve --
 release the GIL, so plain threads give real wall-clock parallelism
 without pickling models across processes.
 

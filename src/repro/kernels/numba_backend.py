@@ -3,11 +3,11 @@
 Importing this module requires numba; :func:`repro.kernels.get_backend`
 guards the import and falls back to the NumPy backend when numba is
 absent.  Each kernel is a straight per-row loop compiled with
-``@njit(cache=True)``.  The arithmetic mirrors the NumPy backend
-exactly -- the first-order recurrence uses the same two-term
-``move * x[k] + stay * y`` update as ``scipy.signal.lfilter`` -- so the
-two backends agree bit-for-bit on the shift kernels and to well below
-``1e-12`` elsewhere.
+``@njit(cache=True)``.  The arithmetic mirrors the NumPy backend --
+the first-order recurrence is the same two-term ``move * x[k] + stay *
+y`` update that the NumPy backend's banded triangular solve performs,
+up to a possibly fused multiply-add -- so the two backends agree
+bit-for-bit on the shift kernels and to well below ``1e-12`` elsewhere.
 """
 
 from __future__ import annotations

@@ -3,15 +3,19 @@
 Every loop body is expressed over whole reward-value groups: the
 shift kernels gather/scatter one contiguous slice per distinct
 displacement (no full-array zeroing -- only the vacated tail of each
-group is cleared), and the first-order recurrences run as IIR filters
-in :func:`scipy.signal.lfilter`'s C loop.  This backend defines the
-reference semantics; the numba backend must agree to ``<= 1e-12``.
+group is cleared), and each first-order recurrence runs as one
+unit-lower-bidiagonal triangular solve in LAPACK's banded ``dtbtrs``
+(an O(K) forward substitution in Fortran, all rows at once as
+right-hand sides).  ``scipy.linalg`` is already loaded by
+:mod:`repro.numerics.linear`, so the scan adds nothing to import time.
+This backend defines the reference semantics; the numba backend must
+agree to ``<= 1e-12``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dtbtrs
 
 from repro.kernels.base import KernelBackend, SericolaPlan, ShiftPlan
 
@@ -57,12 +61,18 @@ class NumpyBackend(KernelBackend):
     def first_order_scan(self, stay: float, move: float,
                          inputs: np.ndarray,
                          start: np.ndarray) -> np.ndarray:
-        if inputs.shape[1] == 0:
+        # L y = move * x with unit diagonal and -stay on the first
+        # subdiagonal; y[-1] = start enters as stay * start in row 0.
+        # An empty right-hand side corrupts dtbtrs' heap, so return early.
+        if inputs.size == 0:
             return np.array(inputs, dtype=float)
-        initial = (stay * start)[:, None]
-        output, _ = lfilter([move], [1.0, -stay], inputs, axis=1,
-                            zi=initial)
-        return output
+        band = np.empty((2, inputs.shape[1]))
+        band[0] = 1.0
+        band[1] = -stay
+        rhs = move * inputs.T
+        rhs[0] += stay * start
+        output, _ = dtbtrs(band, rhs, uplo="L", diag="U", overwrite_b=1)
+        return output.T
 
     def sericola_triangular(self, pb: np.ndarray, new_b: np.ndarray,
                             u_next: np.ndarray, plan: SericolaPlan,

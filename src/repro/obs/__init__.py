@@ -41,7 +41,6 @@ from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
 from .convergence import ConvergenceRecorder, SeriesRecord
-from .httpd import MetricsServer, serve_metrics
 from .metrics import (DEFAULT_BUCKETS, ENGINE_STAT_COUNTERS, Counter,
                       Gauge, Histogram, MetricsRegistry,
                       peak_rss_bytes, record_engine_stats)
@@ -58,6 +57,19 @@ __all__ = [
     "FlightRecorder", "ResourceSampler", "MetricsServer",
     "serve_metrics", "export_telemetry", "merge_telemetry",
 ]
+
+#: Names served by :mod:`repro.obs.httpd`, which is loaded on first use:
+#: it pulls in ``http.server`` and ``email``, which only
+#: ``--metrics-port`` needs.
+_HTTPD_NAMES = ("MetricsServer", "serve_metrics")
+
+
+def __getattr__(name: str) -> Any:
+    if name in _HTTPD_NAMES:
+        from . import httpd
+        return getattr(httpd, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Process-wide metrics registry -- always on (see module docstring).
 REGISTRY = MetricsRegistry()

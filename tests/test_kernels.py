@@ -12,7 +12,9 @@ impulse rewards.
 
 from __future__ import annotations
 
+import itertools
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,12 +147,14 @@ def naive_shift_up(src, shifts, clamp):
 
 
 def naive_scan(stay, move, inputs, start):
+    """The recurrence in exact rational arithmetic, rounded once."""
+    stay, move = Fraction(stay), Fraction(move)
     out = np.empty_like(inputs)
     for i in range(inputs.shape[0]):
-        y = start[i]
+        y = Fraction(start[i])
         for k in range(inputs.shape[1]):
-            y = move * inputs[i, k] + stay * y
-            out[i, k] = y
+            y = move * Fraction(inputs[i, k]) + stay * y
+            out[i, k] = float(y)
     return out
 
 
@@ -198,12 +202,23 @@ class TestShiftKernels:
     def test_first_order_scan_matches_naive(self, backend_name):
         backend = get_backend(backend_name)
         rng = np.random.default_rng(7)
-        inputs = rng.uniform(0.0, 1.0, size=(5, 12))
-        start = rng.uniform(0.0, 1.0, size=5)
-        got = backend.first_order_scan(0.375, 0.625, inputs, start)
-        np.testing.assert_allclose(
-            got, naive_scan(0.375, 0.625, inputs, start),
-            rtol=0.0, atol=1e-13)
+        for stay, length, rows in itertools.product(
+                (0.0, 0.375, 1.0 - 1e-12), (0, 1, 600), (1, 6)):
+            inputs = rng.uniform(0.0, 1.0, size=(rows, length))
+            start = rng.uniform(0.5, 1.0, size=rows)
+            move = 1.0 - stay
+            got = backend.first_order_scan(stay, move, inputs, start)
+            assert got.shape == (rows, length)
+            # 1e-14, or the forward-error bound of a K-step two-term
+            # recurrence in double precision (three roundings per step
+            # compound along the scan) when that is larger: at stay =
+            # 1 - 1e-12 the plain multiply-add loop drifts ~3e-14 over
+            # 600 steps.
+            rtol = max(1e-14, (2 * length + 3) * np.finfo(float).eps / 2)
+            np.testing.assert_allclose(
+                got, naive_scan(stay, move, inputs, start),
+                rtol=rtol, atol=0.0,
+                err_msg=f"stay={stay} K={length} rows={rows}")
 
     def test_shift_plan_expand_maps_rows_to_batches(self):
         plan = build_shift_plan(np.array([2, 0], dtype=np.int64))

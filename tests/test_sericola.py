@@ -8,9 +8,12 @@ test_engines_agree.py.
 import numpy as np
 import pytest
 
+from repro import ModelChecker
+from repro.algorithms import clear_caches
 from repro.algorithms.sericola import SericolaEngine
 from repro.ctmc import MarkovRewardModel, ModelBuilder
 from repro.errors import NumericalError
+from repro.models import adhoc
 from repro.numerics.uniformization import transient_target_probabilities
 
 MU = 0.7
@@ -110,6 +113,30 @@ class TestBoundaryCases:
         # Y_t > 0 almost surely from the reward-1 state.
         assert joint[0] == pytest.approx(0.0, abs=1e-9)
         assert joint[1] == pytest.approx(1.0, abs=1e-9)
+
+
+class TestCaseStudyRegression:
+    """The Q3 vector on the 9-state ad-hoc model, pinned to the values
+    the NumPy kernel produced when its scan ran as an IIR filter; the
+    banded triangular solve reproduces them bit for bit."""
+
+    EXPECTED = {
+        1e-4: [0.49695439145497206, 0.999915138673564, 0.0,
+               0.4969139568305828, 0.49681184605412737, 0.0,
+               0.999915138673564, 0.0, 0.0],
+        1e-8: [0.49699672358404956, 0.9999999903022039, 0.0,
+               0.49695628769828737, 0.4968541737364484, 0.0,
+               0.9999999903022039, 0.0, 0.0],
+    }
+
+    @pytest.mark.parametrize("epsilon", sorted(EXPECTED))
+    def test_q3_vector_pinned(self, epsilon):
+        clear_caches()
+        result = ModelChecker(adhoc.adhoc_model(), engine=SericolaEngine(
+            epsilon=epsilon, kernel="numpy")).check(adhoc.Q3)
+        vector = [result.probability_of(i) for i in range(9)]
+        np.testing.assert_allclose(vector, self.EXPECTED[epsilon],
+                                   rtol=0.0, atol=1e-15)
 
 
 class TestInterface:
