@@ -38,7 +38,6 @@ discretisation-vs-Erlang comparison detected.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -100,60 +99,55 @@ def _build_expanded_model(model: MarkovRewardModel,
     k = phases
     barrier = n * k
     phase_rate = k / r
+    phase = np.arange(k)
 
-    rates = model.rate_matrix.tocoo()
-    impulses = (model.impulse_matrix if model.has_impulse_rewards
-                else None)
-    rows = []
-    cols = []
-    vals = []
     # Original transitions, copied into every phase.  A transition with
     # an impulse reward iota displaces the reward clock by the fixed
     # amount iota, i.e. advances the phase counter by the deterministic
     # equivalent iota * k / r, split mean-preservingly over the two
     # neighbouring integers when fractional (see module docstring).
-    for src, dst, rate in zip(rates.row, rates.col, rates.data):
-        base_src = src * k
-        base_dst = dst * k
-        iota = (float(impulses[src, dst]) if impulses is not None
-                else 0.0)
-        if iota == 0.0:
-            for i in range(k):
-                rows.append(base_src + i)
-                cols.append(base_dst + i)
-                vals.append(rate)
-            continue
-        advance = iota * phase_rate
-        low = int(math.floor(advance + 1e-12))
-        fraction = advance - low
-        outcomes = [(low, 1.0 - fraction)]
-        if fraction > 1e-12:
-            outcomes.append((low + 1, fraction))
-        for i in range(k):
-            for jump, probability in outcomes:
-                if probability <= 0.0:
-                    continue
-                if i + jump < k:
-                    rows.append(base_src + i)
-                    cols.append(base_dst + i + jump)
-                else:
-                    rows.append(base_src + i)
-                    cols.append(barrier)
-                vals.append(rate * probability)
-    # Phase advancement at rate rho(s) * k / r.
-    for s in range(n):
-        advance = model.reward(s) * phase_rate
-        if advance == 0.0:
-            continue
-        for i in range(k - 1):
-            rows.append(s * k + i)
-            cols.append(s * k + i + 1)
-            vals.append(advance)
-        rows.append(s * k + (k - 1))
-        cols.append(barrier)
-        vals.append(advance)
-    expanded = sp.coo_matrix((vals, (rows, cols)),
-                             shape=(barrier + 1, barrier + 1)).tocsr()
+    # Entries run transition-major, then phase, then outcome (low jump
+    # first): the order fixes how duplicate barrier entries are summed.
+    rates = model.rate_matrix.tocoo()
+    src = rates.row.astype(np.int64)
+    dst = rates.col.astype(np.int64)
+    iota = (np.asarray(model.impulse_matrix[src, dst]).ravel()
+            if model.has_impulse_rewards else np.zeros(rates.nnz))
+    advance = iota * phase_rate
+    low = np.floor(advance + 1e-12)
+    fraction = advance - low
+    split = fraction > 1e-12
+    outcomes = 2 if split.any() else 1
+    # Jumps past the last phase all land on the barrier; capping at k
+    # keeps the integer conversion exact for huge advances.
+    jump = np.minimum(low, k).astype(np.int64)[:, None] \
+        + np.arange(outcomes)
+    weight = np.stack([1.0 - fraction, fraction], axis=1)[:, :outcomes]
+    # The low jump always has positive weight (fraction < 1).
+    taken = np.stack([np.ones_like(split), split], axis=1)[:, :outcomes]
+    shape = (rates.nnz, k, outcomes)
+    to_phase = phase[None, :, None] + jump[:, None, :]
+    rows = np.broadcast_to(src[:, None, None] * k
+                           + phase[None, :, None], shape)
+    cols = np.where(to_phase < k, dst[:, None, None] * k + to_phase,
+                    barrier)
+    vals = np.broadcast_to(rates.data[:, None, None]
+                           * weight[:, None, :], shape)
+    taken = np.broadcast_to(taken[:, None, :], shape)
+
+    # Phase advancement (s, i) -> (s, i+1) at rate rho(s) * k / r, the
+    # last phase feeding the barrier.
+    advancing = model.rewards * phase_rate
+    moving = np.flatnonzero(advancing != 0.0)
+    advance_rows = moving[:, None] * k + phase
+    advance_cols = advance_rows + 1
+    advance_cols[:, -1] = barrier
+    expanded = sp.coo_matrix(
+        (np.concatenate([vals[taken],
+                         np.repeat(advancing[moving], k)]),
+         (np.concatenate([rows[taken], advance_rows.ravel()]),
+          np.concatenate([cols[taken], advance_cols.ravel()]))),
+        shape=(barrier + 1, barrier + 1)).tocsr()
     return (CTMC(expanded), barrier)
 
 
@@ -237,22 +231,18 @@ class ErlangEngine(JointEngine):
         backend = self._backend_for(expanded)
         note_selected(self.name, backend.name)
         vector = transient_target_probabilities(
-            expanded, t, self._expanded_indicator(expanded, indicator),
+            expanded, t, self._expanded_indicator(indicator),
             epsilon=self.epsilon, stats=self.stats,
             kernel=backend, metrics_engine=self.name)
         # Initial phase is 0: read off the (s, 0) entries.
         result = vector[0:barrier:self.phases].copy()
         return np.clip(result, 0.0, 1.0)
 
-    def _expanded_indicator(self, expanded: CTMC,
-                            indicator: np.ndarray) -> np.ndarray:
+    def _expanded_indicator(self, indicator: np.ndarray) -> np.ndarray:
         """Target mask on the expanded chain: any phase of a target
         state (phase < k means the Erlang bound is not yet exceeded)."""
-        k = self.phases
-        expanded_indicator = np.zeros(expanded.num_states)
-        for s in np.flatnonzero(indicator):
-            expanded_indicator[s * k:(s + 1) * k] = indicator[s]
-        return expanded_indicator
+        return np.append(np.repeat(np.asarray(indicator, dtype=float),
+                                   self.phases), 0.0)
 
     def _compute_joint_sweep(self,
                              model: MarkovRewardModel,
@@ -283,7 +273,7 @@ class ErlangEngine(JointEngine):
                                                       self.phases)
             rows = transient_target_probabilities_sweep(
                 expanded, times,
-                self._expanded_indicator(expanded, indicator),
+                self._expanded_indicator(indicator),
                 epsilon=self.epsilon, stats=stats,
                 kernel=self._backend_for(expanded),
                 metrics_engine=self.name)

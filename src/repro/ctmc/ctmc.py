@@ -26,7 +26,8 @@ MatrixLike = Union[np.ndarray, sp.spmatrix, Sequence[Sequence[float]]]
 
 
 def _as_csr(rates: MatrixLike) -> sp.csr_matrix:
-    """Convert *rates* to a validated CSR matrix with explicit zeros pruned."""
+    """Convert *rates* to a validated, canonical CSR matrix with explicit
+    zeros pruned."""
     if sp.issparse(rates):
         matrix = rates.tocsr().astype(float)
     else:
@@ -62,6 +63,10 @@ def _as_csr(rates: MatrixLike) -> sp.csr_matrix:
                 f"rate matrix entries must be non-negative: entry "
                 f"({coo.row[first]}, {coo.col[first]}) is "
                 f"{coo.data[first]}")
+    # Canonical layout (sorted indices, no duplicates) on this owned
+    # copy: the content hash reads the raw arrays, so equal models
+    # share a fingerprint however their entries were ordered.
+    matrix.sum_duplicates()
     return matrix
 
 

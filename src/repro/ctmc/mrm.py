@@ -123,6 +123,7 @@ class MarkovRewardModel(CTMC):
         if (orphaned - orphaned.multiply(structure)).nnz:
             raise ModelError(
                 "impulse rewards must sit on existing transitions")
+        matrix.sum_duplicates()
         return matrix
 
     def _fingerprint_parts(self):

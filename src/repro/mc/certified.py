@@ -268,6 +268,9 @@ class CertifiedChecker:
         best: Optional[Tuple[float, np.ndarray, np.ndarray, str]] = None
 
         reduced, query = self._static_workload(phi, psi, path)
+        # One pre-pass for every round: refinement changes the engine,
+        # never the reduced model or its quotient.
+        workload = until._p3_on_reduced(reduced, psi, self.checker.lump)
 
         for engine in self.chain:
             veto = self._static_veto(engine, reduced, query)
@@ -303,11 +306,8 @@ class CertifiedChecker:
                 try:
                     with obs_span("certified_round", engine=current.name,
                                   round=budget.rounds_used):
-                        lower, upper = \
-                            until.time_reward_bounded_until_interval(
-                                self.model, phi, psi, path.time,
-                                path.reward, current,
-                                lump=self.checker.lump)
+                        lower, upper = workload.interval(
+                            current, path.time.upper, path.reward.upper)
                 except UnsupportedFormulaError:
                     raise
                 except NumericalError as exc:
@@ -354,6 +354,7 @@ class CertifiedChecker:
             raise UnsupportedFormulaError(
                 f"certified checking covers until path formulas, "
                 f"got {formula.path}")
+        until._require_certifiable(path.time, path.reward)
         return formula, path
 
     def _static_workload(self, phi, psi, path: ast.Until):

@@ -136,29 +136,19 @@ EngineStats` as a plain dict: ``cache_hits``/``cache_misses`` against
         probabilities: Optional[np.ndarray] = None
         if isinstance(formula, ast.Prob):
             probabilities = self.probability_vector(formula.path)
-            states = frozenset(
-                int(s) for s in range(self.model.num_states)
-                if ast.compare(float(probabilities[s]),
-                               formula.comparison, formula.bound))
-            self._cache[formula] = states
         elif isinstance(formula, ast.SteadyState):
             operand = self.satisfaction_set(formula.operand)
             probabilities = steady.steady_state_probabilities(
                 self.model, set(operand))
-            states = frozenset(
-                int(s) for s in range(self.model.num_states)
-                if ast.compare(float(probabilities[s]),
-                               formula.comparison, formula.bound))
-            self._cache[formula] = states
         elif isinstance(formula, ast.Reward):
             probabilities = self.expected_reward_vector(formula.query)
-            states = frozenset(
-                int(s) for s in range(self.model.num_states)
-                if ast.compare(float(probabilities[s]),
-                               formula.comparison, formula.bound))
-            self._cache[formula] = states
-        else:
+        if probabilities is None:
             states = self.satisfaction_set(formula)
+        else:
+            meets = ast.compare(np.asarray(probabilities, dtype=float),
+                                formula.comparison, formula.bound)
+            states = frozenset(np.flatnonzero(meets).tolist())
+            self._cache[formula] = states
         return CheckResult(formula=formula, states=states,
                            model=self.model, probabilities=probabilities)
 
@@ -241,25 +231,13 @@ parallel_joint_sweeps`: each worker evaluates one reduced model's grid
         Results come back in *pairs* order and the workers' counters
         are merged into :attr:`engine_stats`.
         """
-        queries = []
-        lifts = []
-        for left, right in pairs:
-            phi = set(self.satisfaction_set(left))
-            psi = set(self.satisfaction_set(right))
-            reduced = until_reduction(self.model, phi, psi)
-            pre = prepass.prepare(reduced, psi, mode=self.lump)
-            if pre is not None:
-                queries.append((pre.quotient, times, rewards,
-                                pre.psi_blocks))
-                lifts.append(pre.block_of)
-            else:
-                queries.append((reduced, times, rewards, psi))
-                lifts.append(None)
-        grids = parallel_joint_sweeps(self.engine, queries,
-                                      max_workers=max_workers)
-        return [np.clip(np.asarray(grid)[..., lift] if lift is not None
-                        else grid, 0.0, 1.0)
-                for grid, lift in zip(grids, lifts)]
+        workloads = [self._p3_workload(left, right)
+                     for left, right in pairs]
+        grids = parallel_joint_sweeps(
+            self.engine, [(w.model, times, rewards, w.target)
+                          for w in workloads],
+            max_workers=max_workers)
+        return [w.lift(grid) for grid, w in zip(grids, workloads)]
 
     def check_certified(self,
                         formula: FormulaLike,
@@ -312,23 +290,12 @@ ProcessShardExecutor`) instead of in-process threads; *checkpoint* (a
         configurations.
         """
         from dataclasses import replace
-        phi = set(self.satisfaction_set(left))
-        psi = set(self.satisfaction_set(right))
-        reduced = until_reduction(self.model, phi, psi)
-        pre = prepass.prepare(reduced, psi, mode=self.lump)
-        if pre is not None:
-            partial = self.engine.joint_probability_sweep_partial(
-                pre.quotient, times, rewards, pre.psi_blocks,
-                deadline=deadline, max_workers=max_workers,
-                executor=executor, checkpoint=checkpoint)
-            partial = replace(partial,
-                              grid=partial.grid[..., pre.block_of])
-        else:
-            partial = self.engine.joint_probability_sweep_partial(
-                reduced, times, rewards, psi, deadline=deadline,
-                max_workers=max_workers, executor=executor,
-                checkpoint=checkpoint)
-        return replace(partial, grid=np.clip(partial.grid, 0.0, 1.0))
+        workload = self._p3_workload(left, right)
+        partial = self.engine.joint_probability_sweep_partial(
+            workload.model, times, rewards, workload.target,
+            deadline=deadline, max_workers=max_workers,
+            executor=executor, checkpoint=checkpoint)
+        return replace(partial, grid=workload.lift(partial.grid))
 
     # ------------------------------------------------------------------
     # internals
@@ -386,6 +353,14 @@ ProcessShardExecutor`) instead of in-process threads; *checkpoint* (a
             return long_run_reward_rate(self.model)
         raise FormulaError(f"unknown reward query {query!r}")
 
+    def _p3_workload(self, left: FormulaLike, right: FormulaLike):
+        """Satisfaction sets, Theorem 1 reduction and lumping pre-pass
+        of a ``left U right`` sweep, computed once."""
+        phi = set(self.satisfaction_set(left))
+        psi = set(self.satisfaction_set(right))
+        return until._p3_on_reduced(until_reduction(self.model, phi, psi),
+                                    psi, self.lump)
+
     def _until_probabilities(self, path: ast.Until) -> np.ndarray:
         phi = set(self.satisfaction_set(path.left))
         psi = set(self.satisfaction_set(path.right))
@@ -406,13 +381,18 @@ ProcessShardExecutor`) instead of in-process threads; *checkpoint* (a
         if time.is_trivial:
             return until.reward_bounded_until(self.model, phi, psi,
                                               reward, epsilon=self.epsilon)
+        # One Theorem 1 reduction serves the pre-flight gate and the
+        # engine.  Neither bound is trivial here, so a finite upper
+        # bound is all that can remain once the lower bounds are 0.
+        reduced = until_reduction(self.model, phi, psi)
         if self.preflight:
-            self._preflight_until(phi, psi, path)
-        return until.time_reward_bounded_until(self.model, phi, psi,
-                                               time, reward, self.engine,
-                                               lump=self.lump)
+            self._preflight_until(reduced, path)
+        until._require_zero_lower_bounds(time, reward)
+        return until._p3_on_reduced(reduced, psi, self.lump).vector(
+            self.engine, time.upper, reward.upper)
 
-    def _preflight_until(self, phi, psi, path: ast.Until) -> None:
+    def _preflight_until(self, reduced: MarkovRewardModel,
+                         path: ast.Until) -> None:
         """Static gate before the joint-distribution engine runs.
 
         The compatibility verdict is taken on the *reduced* model of
@@ -424,7 +404,6 @@ ProcessShardExecutor`) instead of in-process threads; *checkpoint* (a
         from repro.analysis import QueryProfile, engine_compatibility
         from repro.errors import PreflightError
         with obs_span("preflight", engine=self.engine.name):
-            reduced = until_reduction(self.model, phi, psi)
             query = QueryProfile.from_formula(ast.Prob("<", 1.0, path))
             findings = [d for d in engine_compatibility(self.engine,
                                                         reduced, query)

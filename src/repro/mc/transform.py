@@ -40,29 +40,32 @@ def until_reduction(model: MarkovRewardModel,
     earning further reward) and states outside ``phi | psi`` (the
     until can never hold anymore) lose their outgoing transitions and
     get reward zero.  State indices are preserved, so probabilities
-    computed on the result map back one-to-one.
+    computed on the result map back one-to-one.  The absorbed rows are
+    dropped straight from the CSR arrays under a row mask, so the cost
+    is O(nnz) array work and *model* is left untouched.
     """
-    n = model.num_states
-    absorbing = set(psi) | (set(range(n)) - set(phi) - set(psi))
-    rates = model.rate_matrix.tolil(copy=True)
-    rewards = model.rewards.copy()
-    impulses = (model.impulse_matrix.tolil(copy=True)
+    keep = np.zeros(model.num_states, dtype=bool)
+    keep[np.fromiter(phi, dtype=np.intp, count=len(phi))] = True
+    keep[np.fromiter(psi, dtype=np.intp, count=len(psi))] = False
+    impulses = (_keep_rows(model.impulse_matrix, keep)
                 if model.has_impulse_rewards else None)
-    for s in absorbing:
-        rates.rows[s] = []
-        rates.data[s] = []
-        rewards[s] = 0.0
-        if impulses is not None:
-            impulses.rows[s] = []
-            impulses.data[s] = []
-    return MarkovRewardModel(rates.tocsr(),
-                             rewards=rewards,
+    return MarkovRewardModel(_keep_rows(model.rate_matrix, keep),
+                             rewards=np.where(keep, model.rewards, 0.0),
                              labels=model.labels_as_dict(),
                              initial_distribution=model.initial_distribution,
                              state_names=model.state_names,
-                             impulse_rewards=(impulses.tocsr()
-                                              if impulses is not None
-                                              else None))
+                             impulse_rewards=impulses)
+
+
+def _keep_rows(matrix: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
+    """A new CSR matrix holding only the rows of *matrix* under *keep*
+    (the other rows become empty)."""
+    counts = np.diff(matrix.indptr)
+    entries = np.repeat(keep, counts)
+    indptr = np.zeros_like(matrix.indptr)
+    np.cumsum(np.where(keep, counts, 0), out=indptr[1:])
+    return sp.csr_matrix((matrix.data[entries], matrix.indices[entries],
+                          indptr), shape=matrix.shape)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ checker) compares against the probability bound.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import AbstractSet, Optional, Sequence, Set
 
 import numpy as np
 
@@ -39,8 +40,7 @@ from repro.numerics.uniformization import transient_target_probabilities
 
 def _indicator(num_states: int, members: Set[int]) -> np.ndarray:
     vector = np.zeros(num_states)
-    for s in members:
-        vector[s] = 1.0
+    vector[np.fromiter(members, dtype=np.intp, count=len(members))] = 1.0
     return vector
 
 
@@ -127,6 +127,70 @@ def reward_bounded_until(model: MarkovRewardModel,
     return np.clip(probabilities, 0.0, 1.0)
 
 
+@dataclass(frozen=True)
+class _P3Workload:
+    """What the engine propagates for one P3 check.
+
+    *model* is the Theorem-1-reduced model or, when the lumping
+    pre-pass applies, its quotient; *target* is ``Sat(Psi)`` on that
+    chain and *block_of* maps original states to quotient blocks
+    (``None`` when unlumped).  Built once per check by
+    :func:`_p3_on_reduced`, so repeated engine calls on the same check
+    (certified refinement rounds) reuse one reduction and one pre-pass.
+    """
+    model: MarkovRewardModel
+    target: AbstractSet[int]
+    block_of: Optional[np.ndarray] = None
+
+    def lift(self, values) -> np.ndarray:
+        """Per-original-state values (last axis), clipped to [0, 1]."""
+        values = np.asarray(values)
+        if self.block_of is not None:
+            values = values[..., self.block_of]
+        return np.clip(values, 0.0, 1.0)
+
+    def vector(self, engine: JointEngine, t: float,
+               r: float) -> np.ndarray:
+        """The engine's point estimate at the bounds ``(t, r)``."""
+        return self.lift(engine.joint_probability_vector(
+            self.model, t, r, self.target))
+
+    def interval(self, engine: JointEngine, t: float,
+                 r: float) -> "tuple[np.ndarray, np.ndarray]":
+        """The engine's certified enclosure at the bounds ``(t, r)``."""
+        lower, upper = engine.joint_probability_interval(
+            self.model, t, r, self.target)
+        return self.lift(lower), self.lift(upper)
+
+
+def _p3_on_reduced(reduced: MarkovRewardModel,
+                   psi: Set[int],
+                   lump: prepass.LumpMode = "auto") -> _P3Workload:
+    """The engine workload of a P3 check on the *reduced* model
+    (:func:`~repro.mc.transform.until_reduction`), lumped by the
+    pre-pass (:mod:`repro.mc.prepass`) when that pays off."""
+    pre = prepass.prepare(reduced, psi, mode=lump)
+    if pre is None:
+        return _P3Workload(reduced, psi)
+    return _P3Workload(pre.quotient, pre.psi_blocks, pre.block_of)
+
+
+def _require_zero_lower_bounds(time: Interval, reward: Interval) -> None:
+    if time.lower != 0.0 or reward.lower != 0.0:
+        raise UnsupportedFormulaError(
+            f"intervals {time}/{reward} do not start at 0; no "
+            f"computational procedure is available (see Section 6)")
+
+
+def _require_certifiable(time: Interval, reward: Interval) -> None:
+    """Raise unless certified P3 intervals exist for these bounds."""
+    _require_zero_lower_bounds(time, reward)
+    if math.isinf(time.upper) or math.isinf(reward.upper):
+        raise UnsupportedFormulaError(
+            "certified intervals need finite time and reward bounds; "
+            "check unbounded formulas with the exact P0-P2 procedures")
+
+
 def time_reward_bounded_until(model: MarkovRewardModel,
                               phi: Set[int],
                               psi: Set[int],
@@ -150,26 +214,15 @@ def time_reward_bounded_until(model: MarkovRewardModel,
     loop), and its result is memoised in the shared joint-vector cache
     keyed by the reduced model's content fingerprint -- repeating an
     identical check is a cache hit even though ``until_reduction``
-    rebuilds the reduced model object each time.
+    builds a new reduced model object for each check.
     """
-    if time.lower != 0.0 or reward.lower != 0.0:
-        raise UnsupportedFormulaError(
-            f"intervals {time}/{reward} do not start at 0; no "
-            f"computational procedure is available (see Section 6)")
+    _require_zero_lower_bounds(time, reward)
     if math.isinf(time.upper):
         return reward_bounded_until(model, phi, psi, reward)
     if math.isinf(reward.upper):
         return time_bounded_until(model, phi, psi, time)
-    reduced = until_reduction(model, phi, psi)
-    pre = prepass.prepare(reduced, psi, mode=lump)
-    if pre is not None:
-        vector = engine.joint_probability_vector(
-            pre.quotient, time.upper, reward.upper, pre.psi_blocks)
-        vector = vector[pre.block_of]
-    else:
-        vector = engine.joint_probability_vector(
-            reduced, time.upper, reward.upper, psi)
-    return np.clip(vector, 0.0, 1.0)
+    workload = _p3_on_reduced(until_reduction(model, phi, psi), psi, lump)
+    return workload.vector(engine, time.upper, reward.upper)
 
 
 def time_reward_bounded_until_interval(model: MarkovRewardModel,
@@ -191,24 +244,9 @@ joint_probability_interval`) is a sound enclosure of the until
     pre-pass (:mod:`repro.mc.prepass`) composes soundly: the quotient
     is exactly equivalent, so its enclosure lifts per block.
     """
-    if time.lower != 0.0 or reward.lower != 0.0:
-        raise UnsupportedFormulaError(
-            f"intervals {time}/{reward} do not start at 0; no "
-            f"computational procedure is available (see Section 6)")
-    if math.isinf(time.upper) or math.isinf(reward.upper):
-        raise UnsupportedFormulaError(
-            "certified intervals need finite time and reward bounds; "
-            "check unbounded formulas with the exact P0-P2 procedures")
-    reduced = until_reduction(model, phi, psi)
-    pre = prepass.prepare(reduced, psi, mode=lump)
-    if pre is not None:
-        lower, upper = engine.joint_probability_interval(
-            pre.quotient, time.upper, reward.upper, pre.psi_blocks)
-        lower, upper = lower[pre.block_of], upper[pre.block_of]
-    else:
-        lower, upper = engine.joint_probability_interval(
-            reduced, time.upper, reward.upper, psi)
-    return np.clip(lower, 0.0, 1.0), np.clip(upper, 0.0, 1.0)
+    _require_certifiable(time, reward)
+    workload = _p3_on_reduced(until_reduction(model, phi, psi), psi, lump)
+    return workload.interval(engine, time.upper, reward.upper)
 
 
 def time_reward_bounded_until_sweep(model: MarkovRewardModel,
@@ -253,13 +291,10 @@ def time_reward_bounded_until_sweep(model: MarkovRewardModel,
             raise UnsupportedFormulaError(
                 "sweep grids need finite reward bounds; check an "
                 "unbounded formula separately")
-    reduced = until_reduction(model, phi, psi)
-    pre = prepass.prepare(reduced, psi, mode=lump)
-    work_model = reduced if pre is None else pre.quotient
-    work_target = psi if pre is None else pre.psi_blocks
+    workload = _p3_on_reduced(until_reduction(model, phi, psi), psi, lump)
     if executor is not None or checkpoint is not None:
         partial = engine.joint_probability_sweep_partial(
-            work_model, times, rewards, work_target,
+            workload.model, times, rewards, workload.target,
             executor=executor, checkpoint=checkpoint)
         if not partial.complete:
             from repro.errors import ParallelExecutionError, WorkerError
@@ -271,10 +306,8 @@ def time_reward_bounded_until_sweep(model: MarkovRewardModel,
                     for pos, (i, j) in enumerate(partial.unevaluated)]
             raise ParallelExecutionError(
                 failures, len(times) * len(rewards))
-        grid = np.asarray(partial.grid)
+        grid = partial.grid
     else:
-        grid = np.asarray(engine.joint_probability_sweep(
-            work_model, times, rewards, work_target))
-    if pre is not None:
-        grid = grid[..., pre.block_of]
-    return np.clip(grid, 0.0, 1.0)
+        grid = engine.joint_probability_sweep(
+            workload.model, times, rewards, workload.target)
+    return workload.lift(grid)

@@ -174,3 +174,71 @@ class TestResults:
         checker = ModelChecker(two_state_absorbing)
         assert checker.holds_initially("green")
         assert not checker.holds_initially("red")
+
+
+class TestThresholds:
+    @pytest.fixture
+    def coin(self):
+        """start jumps to goal or trap at equal rates: P(F goal) = 1/2."""
+        builder = ModelBuilder()
+        builder.add_state("start", labels=("start",), reward=1.0)
+        builder.add_state("goal", labels=("goal",))
+        builder.add_state("trap")
+        builder.add_transition("start", "goal", 1.0)
+        builder.add_transition("start", "trap", 1.0)
+        return builder.build(initial_state="start")
+
+    @pytest.mark.parametrize("comparison,expected", [
+        ("<", {2}), ("<=", {0, 2}), (">", {1}), (">=", {0, 1})])
+    def test_probability_exactly_on_the_bound(self, coin, comparison,
+                                              expected):
+        result = ModelChecker(coin).check(
+            f"P{comparison}0.5 [ start U goal ]")
+        assert list(result.probabilities) == [0.5, 1.0, 0.0]
+        assert result.states == frozenset(expected)
+        assert all(type(s) is int for s in result.states)
+
+
+class TestReductionOncePerCheck:
+    """The Theorem 1 reduction and the lumping pre-pass run once per
+    check, however many consumers (pre-flight gate, engine, refinement
+    rounds) read them."""
+
+    FORMULA = "P>0.5 [ up U[0,2][0,1.5] down ]"
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.mc import checker as checker_module
+        from repro.mc import prepass, transform, until
+        counts = {"reduce": 0, "prepare": 0}
+        reduce, prepare = transform.until_reduction, prepass.prepare
+
+        def counting_reduce(*args, **kwargs):
+            counts["reduce"] += 1
+            return reduce(*args, **kwargs)
+
+        def counting_prepare(*args, **kwargs):
+            counts["prepare"] += 1
+            return prepare(*args, **kwargs)
+
+        for module in (transform, until, checker_module):
+            monkeypatch.setattr(module, "until_reduction", counting_reduce)
+        monkeypatch.setattr(prepass, "prepare", counting_prepare)
+        return counts
+
+    def test_check(self, flip_flop, calls):
+        ModelChecker(flip_flop, preflight=True).check(self.FORMULA)
+        assert calls == {"reduce": 1, "prepare": 1}
+
+    def test_check_certified_over_several_rounds(self, flip_flop, calls):
+        from repro.mc import Budget
+        result = ModelChecker(flip_flop, preflight=True).check_certified(
+            self.FORMULA, chain=(SericolaEngine(epsilon=1e-2),),
+            target_width=1e-4, budget=Budget(max_rounds=12))
+        assert result.rounds_used > 1
+        assert calls == {"reduce": 1, "prepare": 1}
+
+    def test_until_probability_sweep(self, flip_flop, calls):
+        ModelChecker(flip_flop, preflight=True).until_probability_sweep(
+            "up", "down", [1.0, 2.0], [0.5, 1.5])
+        assert calls == {"reduce": 1, "prepare": 1}

@@ -1,14 +1,109 @@
 """Unit tests for the pseudo-Erlang engine."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from repro.algorithms.erlang import (ErlangEngine, erlang_expanded_model,
+from repro.algorithms.erlang import (ErlangEngine, _build_expanded_model,
+                                     erlang_expanded_model,
                                      zero_reward_bound_vector)
 from repro.ctmc import ModelBuilder
+from repro.ctmc.ctmc import CTMC
 from repro.errors import NumericalError
+from repro.mc.transform import until_reduction
+from tests.test_transform import REDUCTION_CASES, csr_arrays
 
 MU = 0.7
+
+
+def loop_expanded_model(model, r, phases):
+    """Reference: the entry-by-entry construction of the expanded chain
+    (transition-major, then phase, then outcome; phase advances last)."""
+    n = model.num_states
+    k = phases
+    barrier = n * k
+    phase_rate = k / r
+    rates = model.rate_matrix.tocoo()
+    impulses = (model.impulse_matrix if model.has_impulse_rewards
+                else None)
+    rows, cols, vals = [], [], []
+    for src, dst, rate in zip(rates.row, rates.col, rates.data):
+        iota = (float(impulses[src, dst]) if impulses is not None
+                else 0.0)
+        if iota == 0.0:
+            for i in range(k):
+                rows.append(src * k + i)
+                cols.append(dst * k + i)
+                vals.append(rate)
+            continue
+        advance = iota * phase_rate
+        low = int(math.floor(advance + 1e-12))
+        fraction = advance - low
+        outcomes = [(low, 1.0 - fraction)]
+        if fraction > 1e-12:
+            outcomes.append((low + 1, fraction))
+        for i in range(k):
+            for jump, probability in outcomes:
+                if probability <= 0.0:
+                    continue
+                rows.append(src * k + i)
+                cols.append(dst * k + i + jump if i + jump < k
+                            else barrier)
+                vals.append(rate * probability)
+    for s in range(n):
+        advance = model.reward(s) * phase_rate
+        if advance == 0.0:
+            continue
+        for i in range(k):
+            rows.append(s * k + i)
+            cols.append(s * k + i + 1 if i < k - 1 else barrier)
+            vals.append(advance)
+    expanded = sp.coo_matrix((vals, (rows, cols)),
+                             shape=(barrier + 1, barrier + 1)).tocsr()
+    return CTMC(expanded), barrier
+
+
+#: (reduction case, reward bound r, phases k).  The impulse rows mix
+#: integer and fractional phase advances, and at r = 0.5 most of them
+#: overflow into the barrier.
+EXPANSION_CASES = [
+    ("case-study", 600.0, 256),
+    ("case-study", 600.0, 1),
+    *[(f"random-{seed}", 2.5, 8) for seed in range(5)],
+    ("grid-20x20", 4.0, 16),
+    ("impulses", 1.0, 4),
+    ("impulses", 1.3, 5),
+    ("impulses", 0.5, 3),
+    ("impulses", 2.0, 1),
+    ("empty-phi", 1.0, 4),
+]
+
+
+class TestVectorisedExpansion:
+    @pytest.mark.parametrize("case,r,k", EXPANSION_CASES)
+    def test_matches_loop_construction(self, case, r, k):
+        model, phi, psi = REDUCTION_CASES[case]()
+        reduced = until_reduction(model, phi, psi)
+        chain, barrier = _build_expanded_model(reduced, r, k)
+        expected, expected_barrier = loop_expanded_model(reduced, r, k)
+        assert barrier == expected_barrier
+        assert csr_arrays(chain.rate_matrix) == csr_arrays(
+            expected.rate_matrix)
+        assert chain.fingerprint == expected.fingerprint
+
+    def test_impulse_cases_reach_the_barrier_fractionally(self):
+        # Guard the case table: the impulse rows must exercise a split
+        # advance and an overflow into the barrier.
+        model, phi, psi = REDUCTION_CASES["impulses"]()
+        reduced = until_reduction(model, phi, psi)
+        chain, barrier = _build_expanded_model(reduced, 0.5, 3)
+        impulses = reduced.impulse_matrix.tocoo()
+        advances = impulses.data * 3 / 0.5
+        assert np.any(advances != np.round(advances))
+        assert chain.rate_matrix_csc[:, barrier].nnz > np.count_nonzero(
+            reduced.rewards)
 
 
 class TestExpansion:

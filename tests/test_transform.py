@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.ctmc import ModelBuilder
+from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import RewardError
 from repro.mc.transform import (amalgamated_until_reduction, dual_model,
                                 until_reduction)
+from repro.models.adhoc import adhoc_model
+from repro.models.workloads import grid_mrm, random_mrm
 
 
 @pytest.fixture
@@ -59,6 +63,130 @@ class TestUntilReduction:
         # States in both phi and psi are still absorbed (psi wins).
         reduced = until_reduction(diamond, {0, 1, 2}, {2})
         assert reduced.is_absorbing(2)
+
+
+def loop_until_reduction(model, phi, psi):
+    """Reference: the row-by-row LIL construction of Theorem 1."""
+    n = model.num_states
+    absorbing = set(psi) | (set(range(n)) - set(phi) - set(psi))
+    rates = model.rate_matrix.copy().tolil()
+    rewards = model.rewards.copy()
+    impulses = (model.impulse_matrix.copy().tolil()
+                if model.has_impulse_rewards else None)
+    for s in absorbing:
+        rates.rows[s] = []
+        rates.data[s] = []
+        rewards[s] = 0.0
+        if impulses is not None:
+            impulses.rows[s] = []
+            impulses.data[s] = []
+    return MarkovRewardModel(rates.tocsr(),
+                             rewards=rewards,
+                             labels=model.labels_as_dict(),
+                             initial_distribution=model.initial_distribution,
+                             state_names=model.state_names,
+                             impulse_rewards=(impulses.tocsr()
+                                              if impulses is not None
+                                              else None))
+
+
+def csr_arrays(matrix):
+    return [(array.dtype, array.tobytes())
+            for array in (matrix.indptr, matrix.indices, matrix.data)]
+
+
+def assert_same_model(actual, expected):
+    assert csr_arrays(actual.rate_matrix) == csr_arrays(
+        expected.rate_matrix)
+    assert actual.rewards.tobytes() == expected.rewards.tobytes()
+    assert actual.has_impulse_rewards == expected.has_impulse_rewards
+    if expected.has_impulse_rewards:
+        assert csr_arrays(actual.impulse_matrix) == csr_arrays(
+            expected.impulse_matrix)
+    assert actual.labels_as_dict() == expected.labels_as_dict()
+    assert actual.fingerprint == expected.fingerprint
+
+
+def impulse_model():
+    """random_mrm(12) with impulses of several sizes on half its
+    transitions (integer and fractional phase advances alike)."""
+    model = random_mrm(12, seed=5)
+    coo = model.rate_matrix.tocoo()
+    sizes = (0.25, 1.0, 0.6, 2.0)
+    impulses = {(int(a), int(b)): sizes[i % len(sizes)]
+                for i, (a, b) in enumerate(zip(coo.row, coo.col))
+                if i % 2 == 0}
+    return model.with_impulse_rewards(impulses)
+
+
+def _case_study():
+    model = adhoc_model()
+    phi = set(model.states_with("call_idle")) | set(
+        model.states_with("doze"))
+    return model, phi, set(model.states_with("call_initiated"))
+
+
+def _labelled(model):
+    return (model, set(model.states_with("green")),
+            set(model.states_with("red")))
+
+
+def _grid():
+    model = grid_mrm(20, 20)
+    return (model, set(range(model.num_states)) - {5, 77},
+            set(model.states_with("goal")))
+
+
+#: (model, phi, psi) builders shared with ``tests/test_erlang.py``.
+REDUCTION_CASES = {
+    "case-study": _case_study,
+    **{f"random-{seed}": (lambda seed=seed: _labelled(
+        random_mrm(30, seed=seed))) for seed in range(5)},
+    "grid-20x20": _grid,
+    "impulses": lambda: _labelled(impulse_model()),
+    "empty-phi": lambda: (random_mrm(15, seed=1), set(), {2, 3}),
+    "empty-psi": lambda: (random_mrm(15, seed=2), {0, 1, 4, 9}, set()),
+    "phi-within-psi": lambda: (random_mrm(15, seed=3), {1, 2}, {1, 2, 7}),
+}
+
+
+class TestVectorisedReduction:
+    @pytest.mark.parametrize("case", sorted(REDUCTION_CASES))
+    def test_matches_loop_construction(self, case):
+        model, phi, psi = REDUCTION_CASES[case]()
+        assert_same_model(until_reduction(model, phi, psi),
+                          loop_until_reduction(model, phi, psi))
+
+    @pytest.mark.parametrize("case", ["impulses", "grid-20x20"])
+    def test_input_untouched(self, case):
+        model, phi, psi = REDUCTION_CASES[case]()
+        fingerprint = model.fingerprint
+        arrays = csr_arrays(model.rate_matrix)
+        impulses = csr_arrays(model.impulse_matrix)
+        rewards = model.rewards.tobytes()
+        until_reduction(model, phi, psi)
+        assert csr_arrays(model.rate_matrix) == arrays
+        assert csr_arrays(model.impulse_matrix) == impulses
+        assert model.rewards.tobytes() == rewards
+        assert model.fingerprint == fingerprint
+
+    def test_unsorted_input_is_canonicalised(self):
+        # Row 0 lists its columns out of order and column 2 twice.
+        unsorted = sp.csr_matrix(
+            (np.array([3.0, 1.0, 0.5, 0.25, 2.0]),
+             np.array([2, 1, 2, 0, 0]),
+             np.array([0, 3, 4, 5])), shape=(3, 3))
+        assert not unsorted.has_sorted_indices
+        model = MarkovRewardModel(unsorted, rewards=[1.0, 2.0, 0.0])
+        twin = MarkovRewardModel(unsorted.toarray(),
+                                 rewards=[1.0, 2.0, 0.0])
+        assert model.fingerprint == twin.fingerprint
+        assert csr_arrays(model.rate_matrix) == csr_arrays(
+            twin.rate_matrix)
+        until_reduction(model, {0, 1}, {2})
+        assert model.fingerprint == MarkovRewardModel(
+            unsorted, rewards=[1.0, 2.0, 0.0]).fingerprint
+        assert model.rate(0, 2) == 3.5
 
 
 class TestAmalgamation:
